@@ -24,12 +24,6 @@ import repro.stats.LocalStats
   */
 object ProfilingBaseline {
 
-  private def cleanNum(c: String): Column = {
-    val x = col(c).cast(DoubleType)
-    when(isnan(x) || x === Double.PositiveInfinity || x === Double.NegativeInfinity,
-      lit(null).cast(DoubleType)).otherwise(x)
-  }
-
   private def firstDouble(df: DataFrame, e: Column): Double = {
     val r = df.agg(e).head()
     if (r.isNullAt(0)) Double.NaN else r.get(0) match {
@@ -51,7 +45,7 @@ object ProfilingBaseline {
   /** One eager action per statistic — the defining inefficiency. */
   def numericStats(df: DataFrame, c: String): NumericStats = {
     val raw = col(c).cast(DoubleType)
-    val x = cleanNum(c)
+    val x = SparkStage.cleanNum(c)
     val count = firstLong(df, org.apache.spark.sql.functions.count(x))
     val missing = firstLong(df, org.apache.spark.sql.functions.count(when(raw.isNull || isnan(raw), 1)))
     val infinites = firstLong(df, org.apache.spark.sql.functions.count(when(abs(raw) === Double.PositiveInfinity, 1)))
@@ -87,7 +81,7 @@ object ProfilingBaseline {
   def histogram(df: DataFrame, c: String, mn: Double, mx: Double, bins: Int): Histogram = {
     val w0 = (mx - mn) / bins
     val w = if (w0.isNaN || w0.isInfinite || w0 <= 0) 1.0 else w0
-    val x = cleanNum(c)
+    val x = SparkStage.cleanNum(c)
     val bin = least(lit(bins - 1), greatest(lit(0), floor((x - mn) / w))).cast("int")
     val rows = df.where(x.isNotNull).groupBy(bin.as("bin")).count().collect()
     val counts = new Array[Long](bins)
@@ -148,16 +142,14 @@ object ProfilingBaseline {
 
     // assemble overview + variables from the eager pieces (local work)
     val aggs = SparkStage.TableAggregates(rows, dups, numStats, catStats)
-    val overview = Overview.fromAggregates(df, cfg, numCols, catCols, aggs,
-      sharedHists = Some(hists), sharedFreqs = Some(rawFreqs))
+    val overview = Overview.fromAggregates(cfg, numCols, catCols, aggs, hists, rawFreqs)
     val variables: Seq[Univariate.UnivariateIntermediates] =
       numCols.map { c =>
-        Univariate.fromStats(df, numStats(c), cfg,
-          sharedHistogram = Some(hists.getOrElse(c, Histogram(c, Array(0.0, 1.0), Array(0L)))),
-          sharedOutliers = Some(outliers.getOrElse(c, 0L)))
+        Univariate.fromStats(numStats(c), cfg,
+          hists.getOrElse(c, Histogram.empty(c)), outliers.getOrElse(c, 0L))
       } ++ catCols.map { c =>
-        Univariate.fromCatStats(df, catStats(c), cfg,
-          sharedFrequencies = Some(rawFreqs.getOrElse(c, Nil)), withWords = false)
+        Univariate.fromCatStats(catStats(c), cfg, rawFreqs.getOrElse(c, Nil),
+          WordFrequencies(c, Nil, 0L))
       }
 
     // interactions, one job per pair (same pair budget as the optimized path)
@@ -216,9 +208,8 @@ object ProfilingBaseline {
       perCol(c).missingFraction(b)(0))
     val spectrum = MissingSpectrum(cols, buckets, fractions)
 
-    val withMissing = cols.zip(missingCounts).filter(_._2 > 0).map(_._1)
-    val nullityCols = if (withMissing.size >= 2) withMissing else cols
     // one action per nullity pair
+    val nullityCols = Missing.nullityColumns(bar)
     val moments = (for (i <- nullityCols.indices; j <- i + 1 until nullityCols.size) yield {
       val (a, b) = (nullityCols(i), nullityCols(j))
       val ind = df.select(
@@ -226,22 +217,7 @@ object ProfilingBaseline {
         when(SparkStage.isMissing(df, b), 1.0).otherwise(0.0).as(b))
       (a, b) -> SparkStage.pairwiseMoments(ind, Seq((a, b)))((a, b))
     }).toMap
-    val missingOf = cols.zip(missingCounts).toMap
-    val nullityCorr = LocalStage.correlationMatrix("nullity", nullityCols,
-      LocalStage.pearsonFromMoments(moments),
-      hasVariance = c => missingOf(c) > 0 && missingOf(c) < rows)
-    val distances = LocalStage.nullityDistances(nullityCols, rows, moments)
-    val dendrogram = MissingDendrogram(nullityCols,
-      repro.stats.Dendrogram.singleLinkage(nullityCols, distances))
-
-    val missingT = cfg.double("insight.missing.threshold")
-    val insights = cols.zip(missingCounts).collect {
-      case (c, m) if rows > 0 && m.toDouble / rows > missingT =>
-        Insight("missing", Seq(c),
-          f"$c has ${m.toDouble / rows * 100}%.1f%% missing values", m.toDouble / rows)
-    } ++ Insights.correlatedMissingness(nullityCorr, cfg)
-
-    Missing.MissingOverviewIntermediates(bar, spectrum, nullityCorr, dendrogram, insights)
+    Missing.fromReductions(cfg, bar, spectrum, moments)
   }
 
   def createReport(df: DataFrame, config: Map[String, Any] = Map.empty): ReportModel.Report = {

@@ -74,47 +74,22 @@ object Correlation {
     CorrelationIntermediates(cols, matrices, insights)
   }
 
+  /** Row 0 of the matrix over `column +: others`. With no other numeric
+    * column the matrix is empty, and each method gets an empty vector.
+    */
   def vector(df: DataFrame, column: String, cfg: EdaConfig): CorrelationVectorIntermediates = {
     require(TypeDetector.typeOf(df, column) == ColumnType.Numerical,
       s"plot_correlation(df, col): '$column' must be numerical")
-    val cols = corrColumns(df, cfg)
-    val others = cols.filterNot(_ == column)
+    val others = corrColumns(df, cfg).filterNot(_ == column)
     val sub = column +: others
     val aggs = SparkStage.columnAggregates(df, sub, Nil, withDuplicates = false)
-    val hasVariance = (c: String) => {
-      val s = aggs.numeric(c); s.count > 1 && !s.std.isNaN && s.std > 0
-    }
-    def vecOf(method: String, coeff: Map[(String, String), Double]) =
-      CorrelationVector(method, column, others,
-        others.map(o => if (hasVariance(column) && hasVariance(o))
-          coeff((column, o)) else Double.NaN).toArray)
-
-    lazy val sample = SparkStage.collectNumericMatrix(df, sub, aggs.rows,
-      cfg.long("corr.maxrows"))
-    def restrict(m: Map[(String, String), Double]): Map[(String, String), Double] =
-      m.collect {
-        case ((a, b), v) if a == column => (a, b) -> v
-        case ((a, b), v) if b == column => (b, a) -> v
-      }
-    val methods = cfg.strings("corr.methods")
-    val vectors = methods.map {
-      case "pearson" =>
-        vecOf("pearson", restrict(LocalStage.pearsonFromMatrix(sub, sample)))
-      case "spearman" =>
-        vecOf("spearman", restrict(LocalStage.spearmanFromMatrix(sub, sample)))
-      case "kendall" =>
-        vecOf("kendall", restrict(LocalStage.kendallFromMatrix(sub, sample)))
-      case other => throw new IllegalArgumentException(s"unknown correlation method: $other")
-    }
-    val t = cfg.double("insight.correlation.threshold")
-    val insights = vectors.flatMap { v =>
-      v.others.zip(v.values).collect {
-        case (o, r) if !r.isNaN && math.abs(r) > t =>
-          Insight("high-correlation", Seq(column, o),
-            f"$column and $o are highly correlated (${v.method} = $r%.3f)", r)
-      }
-    }
-    CorrelationVectorIntermediates(column, others, vectors, insights)
+    val m = matrixFromAggregates(df, sub, aggs, cfg)
+    val vectors =
+      if (m.matrices.isEmpty)
+        cfg.strings("corr.methods").map(CorrelationVector(_, column, others, Array.empty[Double]))
+      else m.matrices.map(mm => CorrelationVector(mm.method, column, others, mm.values(0).tail))
+    CorrelationVectorIntermediates(column, others, vectors,
+      m.insights.filter(_.columns.head == column))
   }
 
   def pair(df: DataFrame, c1: String, c2: String, cfg: EdaConfig): CorrelationPairIntermediates = {

@@ -111,9 +111,10 @@ object Eda {
     *     correlation variance bookkeeping),
     *  2. one job for all histograms, one for all frequency tables, one for
     *     all outlier counts,
-    *  3. one moment agg for Pearson, one reduce-to-driver collect shared by
-    *     local Spearman and Kendall,
-    *  4. one agg + one spectrum job + one nullity moment agg for missing,
+    *  3. one reduce-to-driver collect shared by local Pearson, Spearman
+    *     and Kendall,
+    *  4. one spectrum job + one nullity moment agg for missing (the bar
+    *     chart's counts come from pass 1),
     *  5. `report.interactions` small 2-D grid jobs.
     */
   def computeReportIntermediates(df: DataFrame, cfg: EdaConfig): ReportIntermediates = {
@@ -134,18 +135,16 @@ object Eda {
       val (lo, hi) = LocalStage.fences(s); (s.name, lo, hi)
     })
 
-    val overview = Overview.fromAggregates(df, cfg, numCols, catCols, aggs,
-      sharedHists = Some(hists), sharedFreqs = Some(rawFreqs))
+    val overview = Overview.fromAggregates(cfg, numCols, catCols, aggs, hists, rawFreqs)
 
     // Variables: all local — every reduction is shared from above
     val variables: Seq[Univariate.UnivariateIntermediates] =
       numCols.map { c =>
-        Univariate.fromStats(df, aggs.numeric(c), cfg,
-          sharedHistogram = Some(hists.getOrElse(c, Histogram(c, Array(0.0, 1.0), Array(0L)))),
-          sharedOutliers = Some(outliers.getOrElse(c, 0L)))
+        Univariate.fromStats(aggs.numeric(c), cfg,
+          hists.getOrElse(c, Histogram.empty(c)), outliers.getOrElse(c, 0L))
       } ++ catCols.map { c =>
-        Univariate.fromCatStats(df, aggs.categorical(c), cfg,
-          sharedFrequencies = Some(rawFreqs.getOrElse(c, Nil)), withWords = false)
+        Univariate.fromCatStats(aggs.categorical(c), cfg, rawFreqs.getOrElse(c, Nil),
+          WordFrequencies(c, Nil, 0L))
       }
 
     // Interactions: 2-D grids for the first k numeric pairs
@@ -160,7 +159,11 @@ object Eda {
     val corrCols = numCols.take(cfg.int("corr.maxcols"))
     val correlations = Correlation.matrixFromAggregates(df, corrCols, aggs, cfg)
 
-    val missing = Missing.overview(df, cfg)
+    // the missing bar from pass 1's missing counts
+    val cols = df.columns.toSeq
+    val missingCounts = cols.map(c =>
+      aggs.numeric.get(c).map(_.missing).getOrElse(aggs.categorical(c).missing))
+    val missing = Missing.overviewFromBar(df, cfg, MissingBarChart(cols, missingCounts, aggs.rows))
 
     ReportIntermediates(overview, variables, interactions, correlations, missing)
   }

@@ -61,6 +61,10 @@ object Intermediates {
     def centers: Array[Double] =
       Array.tabulate(bins)(i => (edges(i) + edges(i + 1)) / 2.0)
   }
+  object Histogram {
+    /** The one-bin placeholder of a column with no finite values. */
+    def empty(column: String): Histogram = Histogram(column, Array(0.0, 1.0), Array(0L))
+  }
 
   /** Top-K value counts of a categorical column (K from config), plus the
     * grand totals so "other" mass is renderable.

@@ -12,16 +12,20 @@ import repro.stats.LocalStats.PairMoments
 object LocalStage {
 
   /** Assemble a symmetric correlation matrix from per-pair coefficients.
-    * The diagonal is 1 where the column has variance, NaN otherwise.
+    * Every cell of a column without variance is NaN: its coefficient from
+    * floating-point sums can be a tiny nonzero value instead of 0/0. The
+    * diagonal of the other columns is 1.
     */
   def correlationMatrix(method: String, cols: Seq[String],
                         coeff: Map[(String, String), Double],
                         hasVariance: String => Boolean): CorrelationMatrix = {
     val m = cols.size
+    val varies = cols.map(hasVariance)
     val values = Array.ofDim[Double](m, m)
     for (i <- 0 until m; j <- 0 until m) {
       values(i)(j) =
-        if (i == j) { if (hasVariance(cols(i))) 1.0 else Double.NaN }
+        if (!varies(i) || !varies(j)) Double.NaN
+        else if (i == j) 1.0
         else coeff.getOrElse((cols(math.min(i, j)), cols(math.max(i, j))), Double.NaN)
     }
     CorrelationMatrix(method, cols, values)

@@ -4,11 +4,13 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.core.Intermediates._
 import repro.stats.Dendrogram
+import repro.stats.LocalStats.PairMoments
 
 /** Missing-value task — plot_missing(df[, col1[, col2]]) (Figure 2).
   *
   * Overview: bar chart of missing counts, missing spectrum, nullity
-  * correlation heatmap, dendrogram. The nullity moment pass is shared by
+  * correlation heatmap, dendrogram. Columns with no missing values are kept
+  * in the bar chart and spectrum. The nullity moment pass is shared by
   * the heatmap and the dendrogram (disagreement distances come from the
   * same sums — computation sharing).
   *
@@ -46,26 +48,41 @@ object Missing {
       frequencies: Option[ImpactFrequencies],
       insights: Seq[Insight])
 
-  /** plot_missing(df). Columns with no missing values are kept in the bar
-    * chart and spectrum but — like missingno — excluded from the nullity
-    * correlation/dendrogram unless fewer than two columns have any missing.
-    */
+  /** plot_missing(df): the bar chart's counts come from one small agg. */
   def overview(df: DataFrame, cfg: EdaConfig): MissingOverviewIntermediates = {
     val cols = df.columns.toSeq
-    // pass 1: rows + missing count per column, one action
     val exprs = count(lit(1)) +: cols.map(c =>
       count(when(SparkStage.isMissing(df, c), 1)))
     val row = df.agg(exprs.head, exprs.tail: _*).head()
-    val rows = row.getLong(0)
-    val missingCounts = cols.indices.map(i => row.getLong(i + 1))
-    val bar = MissingBarChart(cols, missingCounts, rows)
+    overviewFromBar(df, cfg,
+      MissingBarChart(cols, cols.indices.map(i => row.getLong(i + 1)), row.getLong(0)))
+  }
 
-    val spectrum = SparkStage.missingSpectrum(df, cols, cfg.int("spectrum.bins"))
+  /** The rest of the overview given the bar chart, which createReport builds
+    * from pass 1: one spectrum job and one nullity-moment job.
+    */
+  def overviewFromBar(df: DataFrame, cfg: EdaConfig,
+                      bar: MissingBarChart): MissingOverviewIntermediates = {
+    val spectrum = SparkStage.missingSpectrum(df, bar.columns, cfg.int("spectrum.bins"))
+    fromReductions(cfg, bar, spectrum, SparkStage.nullityMoments(df, nullityColumns(bar)))
+  }
 
-    val withMissing = cols.zip(missingCounts).filter(_._2 > 0).map(_._1)
-    val nullityCols = if (withMissing.size >= 2) withMissing else cols
-    val moments = SparkStage.nullityMoments(df, nullityCols)
-    val missingOf = cols.zip(missingCounts).toMap
+  /** Columns of the nullity correlation and dendrogram: like missingno, the
+    * columns with missing values, unless fewer than two have any.
+    */
+  def nullityColumns(bar: MissingBarChart): Seq[String] = {
+    val withMissing = bar.columns.zip(bar.missingCounts).filter(_._2 > 0).map(_._1)
+    if (withMissing.size >= 2) withMissing else bar.columns
+  }
+
+  /** The local half of the overview, from the bar chart, the spectrum and
+    * the nullity moments of `nullityColumns(bar)`.
+    */
+  def fromReductions(cfg: EdaConfig, bar: MissingBarChart, spectrum: MissingSpectrum,
+                     moments: Map[(String, String), PairMoments]): MissingOverviewIntermediates = {
+    val rows = bar.totalRows
+    val nullityCols = nullityColumns(bar)
+    val missingOf = bar.columns.zip(bar.missingCounts).toMap
     val nullityCorr = LocalStage.correlationMatrix("nullity", nullityCols,
       LocalStage.pearsonFromMoments(moments),
       hasVariance = c => missingOf(c) > 0 && missingOf(c) < rows)
@@ -74,7 +91,7 @@ object Missing {
       Dendrogram.singleLinkage(nullityCols, distances))
 
     val missingT = cfg.double("insight.missing.threshold")
-    val insights = cols.zip(missingCounts).collect {
+    val insights = bar.columns.zip(bar.missingCounts).collect {
       case (c, m) if rows > 0 && m.toDouble / rows > missingT =>
         Insight("missing", Seq(c),
           f"$c has ${m.toDouble / rows * 100}%.1f%% missing values", m.toDouble / rows)

@@ -7,8 +7,8 @@ import repro.core.Intermediates._
   * numerical column and a bar chart per categorical column (Figure 2, row 1).
   *
   * Pipeline: pass 1 = one wide agg over every column (the precompute stage);
-  * pass 2 = one job for ALL histograms + one job for ALL bar charts. Three
-  * Spark actions total, independent of the number of columns.
+  * pass 2 = one job for ALL histograms + one job for ALL bar charts. The
+  * number of Spark actions is independent of the number of columns.
   */
 object Overview {
 
@@ -25,27 +25,22 @@ object Overview {
     val catCols = TypeDetector.categoricalColumns(df)
 
     val aggs = SparkStage.columnAggregates(df, numCols, catCols)
-    fromAggregates(df, cfg, numCols, catCols, aggs)
+    val withData = numCols.map(aggs.numeric).filter(_.count > 0)
+    val hists = SparkStage.histograms(df, withData.map(_.name),
+      withData.map(_.min), withData.map(_.max), cfg.int("hist.bins"))
+    val rawFreqs = SparkStage.frequencies(df, catCols, cfg.int("freq.maxdistinct"))
+    fromAggregates(cfg, numCols, catCols, aggs, hists, rawFreqs)
   }
 
-  /** Build the overview from an already-computed pass 1 — createReport
-    * shares one `columnAggregates` across every report section.
+  /** The local half: the overview from pass 1 and the histogram and
+    * frequency reductions. createReport and the baseline pass their own.
     */
-  def fromAggregates(df: DataFrame, cfg: EdaConfig, numCols: Seq[String],
-                     catCols: Seq[String],
+  def fromAggregates(cfg: EdaConfig, numCols: Seq[String], catCols: Seq[String],
                      aggs: SparkStage.TableAggregates,
-                     sharedHists: Option[Map[String, Histogram]] = None,
-                     sharedFreqs: Option[Map[String, Seq[(String, Long)]]] = None): OverviewIntermediates = {
-    val bins = cfg.int("hist.bins")
+                     hists: Map[String, Histogram],
+                     rawFreqs: Map[String, Seq[(String, Long)]]): OverviewIntermediates = {
     val numStats = numCols.map(aggs.numeric)
     val catStats = catCols.map(aggs.categorical)
-
-    val withData = numStats.filter(s => s.count > 0)
-    val hists = sharedHists.getOrElse(SparkStage.histograms(df, withData.map(_.name),
-      withData.map(_.min), withData.map(_.max), bins))
-
-    val rawFreqs = sharedFreqs.getOrElse(
-      SparkStage.frequencies(df, catCols, cfg.int("freq.maxdistinct")))
     val topK = cfg.int("bar.topk")
     val freqs = catStats.map { s =>
       s.name -> CategoryFrequencies(s.name,

@@ -156,12 +156,16 @@ object SparkStage {
   // Histograms: ALL numeric columns in one posexplode → groupBy job.
   // ---------------------------------------------------------------------
 
+  /** Index of the fixed-width bin holding `v`, clamped to [0, bins). */
+  private def binIndex(v: Column, lo: Column, width: Column, bins: Int): Column =
+    least(lit(bins - 1), greatest(lit(0), floor((v - lo) / width))).cast("int")
+
+  /** `binIndex` of the exploded `value` column, with each column's bounds
+    * looked up by its position `pos`.
+    */
   private def binExpr(mins: Seq[Double], widths: Seq[Double], bins: Int): Column = {
-    val minArr = array(mins.map(lit(_)): _*)
-    val widthArr = array(widths.map(lit(_)): _*)
-    least(lit(bins - 1), greatest(lit(0),
-      floor((col("value") - element_at(minArr, col("pos") + 1)) /
-            element_at(widthArr, col("pos") + 1)))).cast("int")
+    def at(xs: Seq[Double]) = element_at(array(xs.map(lit(_)): _*), col("pos") + 1)
+    binIndex(col("value"), at(mins), at(widths), bins)
   }
 
   private def widthsOf(mins: Seq[Double], maxs: Seq[Double], bins: Int): Seq[Double] =
@@ -335,25 +339,6 @@ object SparkStage {
 
   private def zeroIfNaN(d: Double): Double = if (d.isNaN) 0.0 else d
 
-  /** Rank-transform every listed column (average ranks, ties shared; nulls
-    * preserved) in one plan, using the two-direction rank identity
-    * avg = (rank_asc + k + 1 − rank_desc) / 2 so no per-column shuffle by
-    * value is needed. `nonNullCounts` (k) comes from the precompute stage.
-    */
-  def rankColumns(df: DataFrame, cols: Seq[String],
-                  nonNullCounts: Map[String, Long]): DataFrame = {
-    val exprs = cols.map { c =>
-      val x = cleanNum(c)
-      val k = nonNullCounts(c)
-      val rAsc = rank().over(Window.orderBy(x.asc_nulls_last))
-      val rDesc = rank().over(Window.orderBy(x.desc_nulls_last))
-      when(x.isNull, lit(null).cast(DoubleType))
-        .otherwise((rAsc + lit(k + 1) - rDesc) / 2.0)
-        .as(c)
-    }
-    df.select(exprs: _*)
-  }
-
   /** Numeric columns collected to the driver (local Kendall stage), sampled
     * down to ~`maxRows` rows when the table is larger. Returns column-major
     * arrays aligned with `cols`; nulls arrive as NaN.
@@ -431,8 +416,8 @@ object SparkStage {
     val xw = widthsOf(Seq(xMin), Seq(xMax), xBins).head
     val yw = widthsOf(Seq(yMin), Seq(yMax), yBins).head
     val xc = cleanNum(x); val yc = cleanNum(y)
-    val xb = least(lit(xBins - 1), greatest(lit(0), floor((xc - xMin) / xw))).cast("int")
-    val yb = least(lit(yBins - 1), greatest(lit(0), floor((yc - yMin) / yw))).cast("int")
+    val xb = binIndex(xc, lit(xMin), lit(xw), xBins)
+    val yb = binIndex(yc, lit(yMin), lit(yw), yBins)
     val rows = df.where(xc.isNotNull && yc.isNotNull)
       .groupBy(xb.as("xb"), yb.as("yb")).count().collect()
     val counts = Array.ofDim[Long](xBins, yBins)
@@ -451,7 +436,7 @@ object SparkStage {
                       bins: Int): (Array[Double], Seq[(Int, Array[Double], Long)]) = {
     val w = widthsOf(Seq(xMin), Seq(xMax), bins).head
     val xc = cleanNum(x); val yc = cleanNum(y)
-    val xb = least(lit(bins - 1), greatest(lit(0), floor((xc - xMin) / w))).cast("int")
+    val xb = binIndex(xc, lit(xMin), lit(w), bins)
     val rows = df.where(xc.isNotNull && yc.isNotNull)
       .groupBy(xb.as("xb"))
       .agg(percentile_approx(yc, lit(Array(0.0, 0.25, 0.5, 0.75, 1.0)),
@@ -483,25 +468,27 @@ object SparkStage {
 
   /** Histogram of a numeric column within each of the given categories
     * (multi-line chart), one action. Binning fixed from full min/max.
+    * Returns the bin edges and the counts per category.
     */
   def groupedHistograms(df: DataFrame, cat: String, num: String,
                         categories: Seq[String], min: Double, max: Double,
-                        bins: Int): Map[String, Array[Long]] = {
-    if (categories.isEmpty) return Map.empty
+                        bins: Int): (Array[Double], Map[String, Array[Long]]) = {
     val w = widthsOf(Seq(min), Seq(max), bins).head
+    val edges = edgesOf(min, w, bins)
+    if (categories.isEmpty) return (edges, Map.empty)
     val yc = cleanNum(num)
-    val bin = least(lit(bins - 1), greatest(lit(0), floor((yc - min) / w))).cast("int")
+    val bin = binIndex(yc, lit(min), lit(w), bins)
     val catStr = col(cat).cast(StringType)
     val rows = df.where(catStr.isin(categories: _*) && yc.isNotNull)
       .groupBy(catStr.as("g"), bin.as("bin")).count().collect()
     val byCat = rows.map(r => (r.getString(0), r.getInt(1), r.getLong(2))).toSeq.groupBy(_._1)
-    categories.map { c =>
+    (edges, categories.map { c =>
       val counts = new Array[Long](bins)
       byCat.getOrElse(c, Nil).foreach { case (_, b, n) =>
         if (b >= 0 && b < bins) counts(b) += n
       }
       c -> counts
-    }.toMap
+    }.toMap)
   }
 
   /** Cross tabulation of two categorical columns, one action, capped at the

@@ -40,28 +40,20 @@ object Univariate {
 
   def numeric(df: DataFrame, column: String, cfg: EdaConfig): NumericUnivariate = {
     val aggs = SparkStage.columnAggregates(df, Seq(column), Nil, withDuplicates = false)
-    fromStats(df, aggs.numeric(column), cfg)
+    val s = aggs.numeric(column)
+    // an all-null column needs neither a histogram nor an outlier job
+    if (s.count == 0) return fromStats(s, cfg, Histogram.empty(column), 0L)
+    val hist = SparkStage.histograms(df, Seq(column), Seq(s.min), Seq(s.max),
+      cfg.int("hist.bins"))(column)
+    val (lo, hi) = LocalStage.fences(s)
+    fromStats(s, cfg, hist, SparkStage.outlierCounts(df, Seq((column, lo, hi)))(column))
   }
 
-  /** Numeric univariate from already-computed pass-1 stats (createReport
-    * shares pass 1; histograms/outliers may also be shared via the
-    * `sharedHistogram`/`sharedOutliers` hooks).
+  /** The local half of the numeric task: plots and insights from pass-1
+    * stats, the column's histogram and its outlier count.
     */
-  def fromStats(df: DataFrame, s: NumericStats, cfg: EdaConfig,
-                sharedHistogram: Option[Histogram] = None,
-                sharedOutliers: Option[Long] = None): NumericUnivariate = {
-    val bins = cfg.int("hist.bins")
-    val hist = sharedHistogram.getOrElse {
-      if (s.count == 0) Histogram(s.name, Array(0.0, 1.0), Array(0L))
-      else SparkStage.histograms(df, Seq(s.name), Seq(s.min), Seq(s.max), bins)(s.name)
-    }
-    val outliers = sharedOutliers.getOrElse {
-      if (s.count == 0) 0L
-      else {
-        val (lo, hi) = LocalStage.fences(s)
-        SparkStage.outlierCounts(df, Seq((s.name, lo, hi)))(s.name)
-      }
-    }
+  def fromStats(s: NumericStats, cfg: EdaConfig, hist: Histogram,
+                outliers: Long): NumericUnivariate = {
     val kde = LocalStage.kdeCurve(s, hist, cfg.int("hist.gridpoints"))
     val qq = LocalStage.qqPlot(s, cfg.int("qq.points"))
     val box = LocalStage.boxPlot(s, outliers)
@@ -71,21 +63,18 @@ object Univariate {
 
   def categorical(df: DataFrame, column: String, cfg: EdaConfig): CategoricalUnivariate = {
     val aggs = SparkStage.columnAggregates(df, Nil, Seq(column), withDuplicates = false)
-    fromCatStats(df, aggs.categorical(column), cfg, sharedFrequencies = None)
+    fromCatStats(aggs.categorical(column), cfg,
+      SparkStage.frequencies(df, Seq(column), cfg.int("freq.maxdistinct"))(column),
+      SparkStage.wordFrequencies(df, column, cfg.int("wordfreq.topk")))
   }
 
-  /** Categorical univariate; `withWords = false` skips the word-frequency
-    * pass (createReport omits word clouds, matching the profile report).
+  /** The local half of the categorical task, from pass-1 stats, the value
+    * counts and the word frequencies (createReport passes empty ones: the
+    * profile report has no word clouds).
     */
-  def fromCatStats(df: DataFrame, s: CategoricalStats, cfg: EdaConfig,
-                sharedFrequencies: Option[Seq[(String, Long)]],
-                withWords: Boolean = true): CategoricalUnivariate = {
-    val raw = sharedFrequencies.getOrElse(
-      SparkStage.frequencies(df, Seq(s.name), cfg.int("freq.maxdistinct"))(s.name))
-    val freq = CategoryFrequencies(s.name, raw.take(cfg.int("bar.topk")), s.distinct, s.count)
-    val words =
-      if (withWords) SparkStage.wordFrequencies(df, s.name, cfg.int("wordfreq.topk"))
-      else WordFrequencies(s.name, Nil, 0L)
+  def fromCatStats(s: CategoricalStats, cfg: EdaConfig, rawFreqs: Seq[(String, Long)],
+                   words: WordFrequencies): CategoricalUnivariate = {
+    val freq = CategoryFrequencies(s.name, rawFreqs.take(cfg.int("bar.topk")), s.distinct, s.count)
     CategoricalUnivariate(s, freq, words, Insights.categorical(s, cfg))
   }
 }

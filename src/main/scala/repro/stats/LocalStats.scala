@@ -236,14 +236,6 @@ object LocalStats {
     if (z >= 0) y else -y
   }
 
-  /** Chi-square statistic of observed counts vs. a uniform expectation. */
-  def chiSquareUniform(observed: Seq[Long]): Double = {
-    val total = observed.sum.toDouble
-    if (total == 0 || observed.isEmpty) return Double.NaN
-    val expected = total / observed.size
-    observed.map(o => (o - expected) * (o - expected) / expected).sum
-  }
-
   /** Shannon entropy of a count distribution, normalized to [0, 1]. */
   def normalizedEntropy(counts: Seq[Long]): Double = {
     val pos = counts.filter(_ > 0)

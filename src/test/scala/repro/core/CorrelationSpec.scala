@@ -64,12 +64,19 @@ class CorrelationSpec extends SparkSpec with TestHelpers {
     assert(p(0, 1) < 0.95)
   }
 
+  // 0.1 has no exact binary form, so n·Σy² − (Σy)² of the constant column
+  // rounds to a tiny nonzero value over 891 rows
+  private lazy val constantTables = Seq(
+    Seq((1.0, 5.0), (2.0, 5.0), (3.0, 5.0)).toDF("a", "b"),
+    (1 to 891).map(i => (i.toDouble, 0.1)).toDF("a", "b"))
+
   test("matrix: constant column yields NaN against everything") {
-    val d = Seq((1.0, 5.0), (2.0, 5.0), (3.0, 5.0)).toDF("a", "b")
-    val m = Correlation.matrix(d, cfg)
-    m.matrices.foreach { mm =>
-      assert(mm(0, 1).isNaN, s"${mm.method}")
-      assert(mm(1, 1).isNaN, s"${mm.method} diagonal of constant")
+    constantTables.foreach { d =>
+      val m = Correlation.matrix(d, cfg)
+      m.matrices.foreach { mm =>
+        assert(mm(0, 1).isNaN, s"${mm.method}: ${mm(0, 1)}")
+        assert(mm(1, 1).isNaN, s"${mm.method} diagonal of constant")
+      }
     }
   }
 
@@ -105,10 +112,24 @@ class CorrelationSpec extends SparkSpec with TestHelpers {
   test("vector: correlates one column against all others") {
     val v = Correlation.vector(df, "y", cfg)
     assert(v.others == Seq("x", "z"))
-    assert(v.vectors.map(_.method) == Seq("pearson", "spearman", "kendall"))
-    val pv = v.vectors.find(_.method == "pearson").get
-    val full = inter.matrices.find(_.method == "pearson").get
-    assertApprox(pv.values(0), full(0, 1), 1e-9, "vector vs matrix")
+    // every method and every cell equals the matrix; with one numeric
+    // column there is one empty vector (and tab) per method
+    val oneNumeric = Seq(("a", 1.0), ("b", 2.0)).toDF("s", "v")
+    val inputs = Seq(df -> "y", df -> "z", oneNumeric -> "v") ++ constantTables.map(_ -> "a")
+    inputs.foreach { case (d, c) =>
+      val vec = Correlation.vector(d, c, cfg)
+      val m = Correlation.matrix(d, cfg)
+      assert(vec.vectors.map(_.method) == Seq("pearson", "spearman", "kendall"))
+      assert(Render.correlationVectorReport(vec, cfg).tabs.size == 3)
+      vec.vectors.foreach { cv =>
+        assert(cv.others == m.columns.filterNot(_ == c) && cv.values.length == cv.others.size)
+        cv.others.zip(cv.values).foreach { case (o, r) =>
+          val mat = m.matrices.find(_.method == cv.method).get
+          assertApprox(r, mat(mat.columns.indexOf(c), mat.columns.indexOf(o)), 1e-9,
+            s"vector vs matrix: ${cv.method}($c, $o)")
+        }
+      }
+    }
   }
 
   test("vector: rejects categorical column") {

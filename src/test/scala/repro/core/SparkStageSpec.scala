@@ -237,28 +237,6 @@ class SparkStageSpec extends SparkSpec with TestHelpers {
     assert(ms(("a", "c")).pearson < -0.99)
   }
 
-  test("rankColumns: average ranks match the local reference") {
-    val d = Seq(3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0).toDF("x")
-    val ranked = SparkStage.rankColumns(d, Seq("x"), Map("x" -> 8L))
-    val got = collectDoubles(ranked, "x").sorted
-    val exp = LocalStats.averageRanks(collectDoubles(d, "x")).toSeq.sorted
-    assertApproxSeq(got, exp, 1e-9, "ranks")
-  }
-
-  test("rankColumns: ties share the average rank") {
-    val d = Seq(10.0, 20.0, 20.0, 30.0).toDF("x")
-    val ranked = SparkStage.rankColumns(d, Seq("x"), Map("x" -> 4L))
-    assert(collectDoubles(ranked, "x").sorted == Seq(1.0, 2.5, 2.5, 4.0))
-  }
-
-  test("rankColumns: nulls stay null and do not shift ranks") {
-    val d = Seq(Option(5.0), None, Option(1.0), Option(3.0)).toDF("x")
-    val ranked = SparkStage.rankColumns(d, Seq("x"), Map("x" -> 3L))
-    val all = ranked.collect().map(r => if (r.isNullAt(0)) None else Some(r.getDouble(0)))
-    assert(all.count(_.isEmpty) == 1)
-    assert(all.flatten.sorted.toSeq == Seq(1.0, 2.0, 3.0))
-  }
-
   test("collectNumericMatrix: column-major values with NaN for null") {
     val d = Seq((Option(1.0), Option(2.0)), (None: Option[Double], Option(4.0))).toDF("a", "b")
     val m = SparkStage.collectNumericMatrix(d, Seq("a", "b"), 2, 100)
@@ -351,7 +329,8 @@ class SparkStageSpec extends SparkSpec with TestHelpers {
 
   test("groupedHistograms: per-category totals") {
     val d2 = Seq(("a", 1.0), ("a", 2.0), ("b", 3.0)).toDF("g", "v")
-    val hs = SparkStage.groupedHistograms(d2, "g", "v", Seq("a", "b"), 1.0, 3.0, 2)
+    val (edges, hs) = SparkStage.groupedHistograms(d2, "g", "v", Seq("a", "b"), 1.0, 3.0, 2)
+    assert(edges.toSeq == Seq(1.0, 2.0, 3.0))
     assert(hs("a").sum == 2 && hs("b").sum == 1)
   }
 

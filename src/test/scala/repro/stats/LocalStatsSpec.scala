@@ -155,17 +155,6 @@ class LocalStatsSpec extends AnyFunSuite {
     }
   }
 
-  test("chiSquareUniform is 0 for uniform counts") {
-    assert(chiSquareUniform(Seq(10, 10, 10)) == 0.0)
-  }
-  test("chiSquareUniform known value") {
-    // observed (10, 20), expected (15, 15): 25/15 + 25/15 = 10/3
-    assert(approx(chiSquareUniform(Seq(10, 20)), 10.0 / 3))
-  }
-  test("chiSquareUniform of empty counts is NaN") {
-    assert(chiSquareUniform(Nil).isNaN)
-  }
-
   test("normalizedEntropy of uniform distribution is 1") {
     assert(approx(normalizedEntropy(Seq(5, 5, 5, 5)), 1.0))
   }
