@@ -44,7 +44,7 @@ object ProfilingBaseline {
 
   /** One eager action per statistic — the defining inefficiency. */
   def numericStats(df: DataFrame, c: String): NumericStats = {
-    val raw = col(c).cast(DoubleType)
+    val raw = SparkStage.colOf(c).cast(DoubleType)
     val x = SparkStage.cleanNum(c)
     val count = firstLong(df, org.apache.spark.sql.functions.count(x))
     val missing = firstLong(df, org.apache.spark.sql.functions.count(when(raw.isNull || isnan(raw), 1)))
@@ -67,7 +67,7 @@ object ProfilingBaseline {
   }
 
   def categoricalStats(df: DataFrame, c: String): CategoricalStats = {
-    val s = col(c).cast(StringType)
+    val s = SparkStage.colOf(c).cast(StringType)
     CategoricalStats(c,
       count = firstLong(df, org.apache.spark.sql.functions.count(s)),
       missing = firstLong(df, org.apache.spark.sql.functions.count(when(s.isNull, 1))),
@@ -93,8 +93,8 @@ object ProfilingBaseline {
 
   /** One frequency job per column. */
   def frequencies(df: DataFrame, c: String, maxDistinct: Int): Seq[(String, Long)] =
-    df.where(col(c).isNotNull)
-      .groupBy(col(c).cast(StringType).as("v")).count()
+    df.where(SparkStage.colOf(c).isNotNull)
+      .groupBy(SparkStage.colOf(c).cast(StringType).as("v")).count()
       .orderBy(col("count").desc, col("v"))
       .limit(maxDistinct)
       .collect()
@@ -126,7 +126,7 @@ object ProfilingBaseline {
     val rows = df.count()
     val allCols = df.columns.toSeq
     val dups = rows - firstLong(df,
-      count_distinct(struct(allCols.map(c => col(c).cast(StringType)): _*)))
+      count_distinct(struct(allCols.map(c => SparkStage.colOf(c).cast(StringType)): _*)))
 
     // per-column eager stats
     val numStats = numCols.map(c => c -> numericStats(df, c)).toMap

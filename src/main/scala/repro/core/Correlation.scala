@@ -13,8 +13,9 @@ import repro.stats.LocalStats
   * engine-stage/local-stage split with its heuristic boundary: the engine
   * reduces n×m to min(n, maxrows)×m once; scheduling one distributed job
   * per coefficient would cost more than computing them. Pairwise-complete
-  * deletion per pair, re-ranked per pair (pandas semantics); results are
-  * exact whenever n <= corr.maxrows (all Table 2 workloads).
+  * deletion per pair, with each column ranked once and average ranks taken
+  * within the pair (pandas semantics); results are exact whenever
+  * n <= corr.maxrows (all Table 2 workloads).
   *
   * Pair: scatter plot with a regression line plus the three coefficients;
   * the regression moments come from one exact distributed agg.
@@ -104,13 +105,10 @@ object Correlation {
     // spearman/kendall locally on the collected (sampled) pair
     val sample = SparkStage.collectNumericMatrix(df, Seq(c1, c2),
       totalRows = moments.n, maxRows = cfg.long("corr.maxrows"))
-    val complete = sample(0).indices.filter(i => !sample(0)(i).isNaN && !sample(1)(i).isNaN)
-    val xs = complete.map(sample(0)).toArray
-    val ys = complete.map(sample(1)).toArray
     val coefficients = cfg.strings("corr.methods").map {
       case "pearson"  => "pearson" -> moments.pearson
-      case "spearman" => "spearman" -> (if (xs.length > 1) LocalStats.spearman(xs.toSeq, ys.toSeq) else Double.NaN)
-      case "kendall"  => "kendall" -> LocalStats.kendallTauB(xs, ys)
+      case "spearman" => "spearman" -> LocalStats.spearmanArrays(sample(0), sample(1))
+      case "kendall"  => "kendall" -> LocalStats.kendallTauB(sample(0), sample(1))
       case other => throw new IllegalArgumentException(s"unknown correlation method: $other")
     }.toMap
     val t = cfg.double("insight.correlation.threshold")

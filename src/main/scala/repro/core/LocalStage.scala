@@ -34,11 +34,10 @@ object LocalStage {
   def pearsonFromMoments(moments: Map[(String, String), PairMoments]): Map[(String, String), Double] =
     moments.map { case (p, m) => p -> m.pearson }
 
-  /** Pairwise-complete (x, y) arrays of columns i, j of the collected
-    * numeric matrix (column-major, NaN = missing).
+  /** Pairwise-complete (x, y) arrays of two collected columns (NaN =
+    * missing).
     */
-  private def completePairs(matrix: Array[Array[Double]], i: Int, j: Int): (Array[Double], Array[Double]) = {
-    val xi = matrix(i); val yj = matrix(j)
+  private def completePairs(xi: Array[Double], yj: Array[Double]): (Array[Double], Array[Double]) = {
     val xs = new scala.collection.mutable.ArrayBuilder.ofDouble
     val ys = new scala.collection.mutable.ArrayBuilder.ofDouble
     var r = 0
@@ -49,23 +48,28 @@ object LocalStage {
     (xs.result(), ys.result())
   }
 
-  /** Evaluate `f` for every column pair of the collected matrix, fanning the
-    * pairs across a thread pool — the local stage's answer to the engine
-    * stage's parallelism (hundreds of O(n log n) pair computations would
-    * otherwise serialize on one core).
-    */
-  private def perPair(cols: Seq[String], matrix: Array[Array[Double]])(
-      f: (Array[Double], Array[Double]) => Double): Map[(String, String), Double] = {
+  /** `f` over `xs` on a thread pool, results in order. */
+  private def parallel[A, B](xs: Seq[A])(f: A => B): Seq[B] = {
     import scala.concurrent.{Await, ExecutionContext, Future}
     import scala.concurrent.duration.Duration
     implicit val ec: ExecutionContext = ExecutionContext.global
-    val pairs = for (i <- cols.indices; j <- i + 1 until cols.size) yield (i, j)
-    val futures = pairs.map { case (i, j) => Future {
-      val (xs, ys) = completePairs(matrix, i, j)
-      (cols(i), cols(j)) -> f(xs, ys)
-    }}
-    Await.result(Future.sequence(futures), Duration.Inf).toMap
+    Await.result(Future.sequence(xs.map(x => Future(f(x)))), Duration.Inf)
   }
+
+  /** Evaluate `f` for every pair of the per-column values `columns`,
+    * fanning the pairs across a thread pool — the local stage's answer to
+    * the engine stage's parallelism (hundreds of pair computations would
+    * otherwise serialize on one core).
+    */
+  private def perPair[C](cols: Seq[String], columns: Seq[C])(
+      f: (C, C) => Double): Map[(String, String), Double] = {
+    val pairs = for (i <- cols.indices; j <- i + 1 until cols.size) yield (i, j)
+    parallel(pairs) { case (i, j) => (cols(i), cols(j)) -> f(columns(i), columns(j)) }.toMap
+  }
+
+  /** Each column of the collected matrix ranked once, in parallel. */
+  private def ranked(matrix: Array[Array[Double]]): Seq[LocalStats.RankedColumn] =
+    parallel(matrix.toSeq)(LocalStats.RankedColumn(_))
 
   /** Pearson per pair from the collected numeric matrix (pairwise-complete
     * deletion) — the local side of the §5.2 engine/local boundary: below the
@@ -73,24 +77,27 @@ object LocalStage {
     */
   def pearsonFromMatrix(cols: Seq[String],
                         matrix: Array[Array[Double]]): Map[(String, String), Double] =
-    perPair(cols, matrix)((xs, ys) =>
-      if (xs.length > 1) LocalStats.pearsonArrays(xs, ys) else Double.NaN)
+    perPair(cols, matrix.toSeq) { (x, y) =>
+      val (xs, ys) = completePairs(x, y)
+      if (xs.length > 1) LocalStats.pearsonArrays(xs, ys) else Double.NaN
+    }
 
   /** Kendall tau-b per pair from the collected numeric matrix;
-    * pairwise-complete deletion per pair.
+    * pairwise-complete deletion per pair. Each column is ranked once; the
+    * pairs work on the rank codes.
     */
   def kendallFromMatrix(cols: Seq[String],
                         matrix: Array[Array[Double]]): Map[(String, String), Double] =
-    perPair(cols, matrix)(LocalStats.kendallTauB)
+    perPair(cols, ranked(matrix))(LocalStats.kendallRanked)
 
   /** Spearman per pair from the collected numeric matrix: pairwise-complete
-    * deletion, then re-rank within the pair (pandas semantics). Shares the
-    * one matrix collect with Pearson and Kendall.
+    * deletion, then average ranks within the pair (pandas semantics), taken
+    * from the counts of each column's rank codes. Shares the one matrix
+    * collect with Pearson and Kendall.
     */
   def spearmanFromMatrix(cols: Seq[String],
                          matrix: Array[Array[Double]]): Map[(String, String), Double] =
-    perPair(cols, matrix)((xs, ys) =>
-      if (xs.length > 1) LocalStats.spearmanArrays(xs, ys) else Double.NaN)
+    perPair(cols, ranked(matrix))(LocalStats.spearmanRanked)
 
   /** Tukey box plot from the quantile grid; whiskers clamp the 1.5·IQR
     * fences to the observed min/max; `outliers` counted by the distributed

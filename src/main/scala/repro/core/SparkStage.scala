@@ -28,11 +28,17 @@ object SparkStage {
 
   private val PercentileAccuracy = 10000
 
+  /** The column of the input table named `name`. The name is quoted, so
+    * dots, spaces and backticks in it are taken literally.
+    */
+  private[repro] def colOf(name: String): Column =
+    col("`" + name.replace("`", "``") + "`")
+
   /** Numeric column normalized to Double with NaN/±Inf mapped to null, so
     * every moment/histogram/rank sees only finite values.
     */
   private[repro] def cleanNum(c: String): Column = {
-    val x = col(c).cast(DoubleType)
+    val x = colOf(c).cast(DoubleType)
     when(isnan(x) || x === Double.PositiveInfinity || x === Double.NegativeInfinity,
       lit(null).cast(DoubleType)).otherwise(x)
   }
@@ -41,9 +47,9 @@ object SparkStage {
   private[repro] def isMissing(df: DataFrame, c: String): Column =
     TypeDetector.typeOf(df, c) match {
       case ColumnType.Numerical =>
-        val x = col(c).cast(DoubleType)
+        val x = colOf(c).cast(DoubleType)
         x.isNull || isnan(x)
-      case ColumnType.Categorical => col(c).isNull
+      case ColumnType.Categorical => colOf(c).isNull
     }
 
   /** All pass-1 aggregates of a table, computed in one action. */
@@ -82,7 +88,7 @@ object SparkStage {
 
     val numeric: Map[String, NumericStats] = if (numCols.isEmpty) Map.empty else {
       val structs = numCols.map { c =>
-        struct(col(c).cast(DoubleType).as("raw"), cleanNum(c).as("v"))
+        struct(colOf(c).cast(DoubleType).as("raw"), cleanNum(c).as("v"))
       }
       val raw = col("s.raw"); val v = col("s.v")
       val exploded = df.select(posexplode(array(structs: _*)).as(Seq("pos", "s")))
@@ -125,7 +131,7 @@ object SparkStage {
     }
 
     val categorical: Map[String, CategoricalStats] = if (catCols.isEmpty) Map.empty else {
-      val arr = array(catCols.map(c => col(c).cast(StringType)): _*)
+      val arr = array(catCols.map(c => colOf(c).cast(StringType)): _*)
       val v = col("value")
       val out = df.select(posexplode(arr).as(Seq("pos", "value")))
         .groupBy(col("pos"))
@@ -146,7 +152,7 @@ object SparkStage {
       if (withDuplicates && df.columns.nonEmpty && rows > 0) {
         val allCols = df.columns.toSeq
         rows - getLong(df.agg(
-          count_distinct(struct(allCols.map(c => col(c).cast(StringType)): _*))).head(), 0)
+          count_distinct(struct(allCols.map(c => colOf(c).cast(StringType)): _*))).head(), 0)
       } else 0L
 
     TableAggregates(rows, dups, numeric, categorical)
@@ -247,7 +253,7 @@ object SparkStage {
   def frequencies(df: DataFrame, cols: Seq[String],
                   maxDistinct: Int): Map[String, Seq[(String, Long)]] = {
     if (cols.isEmpty) return Map.empty
-    val arr = array(cols.map(c => col(c).cast(StringType)): _*)
+    val arr = array(cols.map(c => colOf(c).cast(StringType)): _*)
     val counted = df.select(posexplode(arr).as(Seq("pos", "value")))
       .where(col("value").isNotNull)
       .groupBy(col("pos"), col("value"))
@@ -269,7 +275,7 @@ object SparkStage {
   def impactFrequencies(df: DataFrame, cols: Seq[String], maxDistinct: Int,
                         keep: Column): Map[String, Seq[(String, Long, Long)]] = {
     if (cols.isEmpty) return Map.empty
-    val arr = array(cols.map(c => col(c).cast(StringType)): _*)
+    val arr = array(cols.map(c => colOf(c).cast(StringType)): _*)
     val rows = df.select(posexplode(arr).as(Seq("pos", "value")), keep.as("keep"))
       .where(col("value").isNotNull)
       .groupBy(col("pos"), col("value"), col("keep"))
@@ -291,7 +297,7 @@ object SparkStage {
   /** Word frequencies of one text column (univariate categorical task). */
   def wordFrequencies(df: DataFrame, c: String, topK: Int): WordFrequencies = {
     val words = df
-      .select(explode(split(lower(col(c).cast(StringType)), "[^a-z0-9]+")).as("word"))
+      .select(explode(split(lower(colOf(c).cast(StringType)), "[^a-z0-9]+")).as("word"))
       .where(length(col("word")) > 0)
       .groupBy("word").count()
     // single action: total + topK via sorted collect of capped rows
@@ -455,8 +461,8 @@ object SparkStage {
   def groupedNumericStats(df: DataFrame, cat: String, num: String,
                           maxGroups: Int): Seq[(String, Long, Double, Array[Double])] = {
     val yc = cleanNum(num)
-    val g = df.where(col(cat).isNotNull && yc.isNotNull)
-      .groupBy(col(cat).cast(StringType).as("g"))
+    val g = df.where(colOf(cat).isNotNull && yc.isNotNull)
+      .groupBy(colOf(cat).cast(StringType).as("g"))
       .agg(count(lit(1)).as("cnt"), avg(yc).as("mean"),
            percentile_approx(yc, lit(Array(0.0, 0.25, 0.5, 0.75, 1.0)),
              lit(PercentileAccuracy)).as("qs"))
@@ -478,7 +484,7 @@ object SparkStage {
     if (categories.isEmpty) return (edges, Map.empty)
     val yc = cleanNum(num)
     val bin = binIndex(yc, lit(min), lit(w), bins)
-    val catStr = col(cat).cast(StringType)
+    val catStr = colOf(cat).cast(StringType)
     val rows = df.where(catStr.isin(categories: _*) && yc.isNotNull)
       .groupBy(catStr.as("g"), bin.as("bin")).count().collect()
     val byCat = rows.map(r => (r.getString(0), r.getInt(1), r.getLong(2))).toSeq.groupBy(_._1)
@@ -496,8 +502,8 @@ object SparkStage {
     */
   def contingency(df: DataFrame, c1: String, c2: String,
                   maxCells: Int = 100000): Seq[(String, String, Long)] = {
-    df.where(col(c1).isNotNull && col(c2).isNotNull)
-      .groupBy(col(c1).cast(StringType).as("a"), col(c2).cast(StringType).as("b"))
+    df.where(colOf(c1).isNotNull && colOf(c2).isNotNull)
+      .groupBy(colOf(c1).cast(StringType).as("a"), colOf(c2).cast(StringType).as("b"))
       .count()
       .orderBy(col("count").desc, col("a"), col("b"))
       .limit(maxCells)

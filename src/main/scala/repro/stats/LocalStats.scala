@@ -65,134 +65,147 @@ object LocalStats {
     PairMoments(x.length.toLong, sx, sy, sxx, syy, sxy).pearson
   }
 
-  def pearson(x: Seq[Double], y: Seq[Double]): Double =
-    pearsonArrays(x.toArray, y.toArray)
-
-  /** Average ranks (1-based); ties share the mean of their rank range.
-    * Primitive-array implementation — the local correlation stage runs this
-    * for every column pair, so boxing would dominate.
+  /** A column's rank encoding: each non-NaN value's index among the
+    * column's sorted distinct values, and −1 for NaN (missing). −0.0 and 0.0
+    * get the same code, as they are equal under `==`. Computed once per
+    * column; every pair's Spearman and Kendall τ-b then work on these codes.
     */
-  def averageRanksArray(xs: Array[Double]): Array[Double] = {
-    val n = xs.length
-    val idx = Array.range(0, n)
-    // sort indices by value without boxing
-    val sorted = idx.sortBy(xs) // sortBy on Array[Int] by Double key
-    val out = new Array[Double](n)
-    var i = 0
-    while (i < n) {
-      var j = i
-      while (j + 1 < n && xs(sorted(j + 1)) == xs(sorted(i))) j += 1
-      val r = (i + j + 2) / 2.0 // mean of 1-based ranks i+1 .. j+1
-      var k = i
-      while (k <= j) { out(sorted(k)) = r; k += 1 }
-      i = j + 1
+  final class RankedColumn private (val codes: Array[Int], val distinct: Int)
+
+  object RankedColumn {
+    def apply(xs: Array[Double]): RankedColumn = {
+      // + 0.0 maps −0.0 to 0.0 and leaves every other value as it is
+      val values = xs.filter(!_.isNaN).map(_ + 0.0)
+      java.util.Arrays.sort(values)
+      var k = 0; var i = 0
+      while (i < values.length) {
+        if (k == 0 || values(i) != values(k - 1)) { values(k) = values(i); k += 1 }
+        i += 1
+      }
+      val codes = xs.map(x =>
+        if (x.isNaN) -1 else java.util.Arrays.binarySearch(values, 0, k, x + 0.0))
+      new RankedColumn(codes, k)
+    }
+  }
+
+  /** Per-code counts of both columns over the rows where both are present,
+    * and the number of those rows.
+    */
+  private def jointCounts(x: RankedColumn, y: RankedColumn): (Array[Int], Array[Int], Int) = {
+    val cx = x.codes; val cy = y.codes
+    require(cx.length == cy.length, "rank correlation: length mismatch")
+    val nx = new Array[Int](x.distinct); val ny = new Array[Int](y.distinct)
+    var m = 0; var r = 0
+    while (r < cx.length) {
+      if (cx(r) >= 0 && cy(r) >= 0) { nx(cx(r)) += 1; ny(cy(r)) += 1; m += 1 }
+      r += 1
+    }
+    (nx, ny, m)
+  }
+
+  /** Average 1-based rank of each code from the per-code counts: a code's
+    * ties take ranks below+1 .. below+count and share their mean.
+    */
+  private def averageRanks(counts: Array[Int]): Array[Double] = {
+    val out = new Array[Double](counts.length)
+    var below = 0L; var k = 0
+    while (k < counts.length) {
+      out(k) = (2 * below + counts(k) + 1) / 2.0
+      below += counts(k); k += 1
     }
     out
   }
 
-  def averageRanks(xs: Seq[Double]): Array[Double] = averageRanksArray(xs.toArray)
-
-  def spearmanArrays(x: Array[Double], y: Array[Double]): Double = {
-    require(x.length == y.length, "spearman: length mismatch")
-    val rx = averageRanksArray(x); val ry = averageRanksArray(y)
-    val n = x.length.toLong
+  /** Spearman over the rows where both columns are present (pairwise
+    * deletion, then average ranks within the pair: pandas semantics).
+    * O(n + k) with no sort; NaN with fewer than two such rows.
+    */
+  def spearmanRanked(x: RankedColumn, y: RankedColumn): Double = {
+    val (nx, ny, m) = jointCounts(x, y)
+    if (m < 2) return Double.NaN
+    val rx = averageRanks(nx); val ry = averageRanks(ny)
+    val cx = x.codes; val cy = y.codes
     var sx = 0.0; var sy = 0.0; var sxx = 0.0; var syy = 0.0; var sxy = 0.0
-    var i = 0
-    while (i < x.length) {
-      val a = rx(i); val b = ry(i)
-      sx += a; sy += b; sxx += a * a; syy += b * b; sxy += a * b
-      i += 1
+    var r = 0
+    while (r < cx.length) {
+      if (cx(r) >= 0 && cy(r) >= 0) {
+        val a = rx(cx(r)); val b = ry(cy(r))
+        sx += a; sy += b; sxx += a * a; syy += b * b; sxy += a * b
+      }
+      r += 1
     }
-    PairMoments(n, sx, sy, sxx, syy, sxy).pearson
+    PairMoments(m.toLong, sx, sy, sxx, syy, sxy).pearson
   }
 
-  def spearman(x: Seq[Double], y: Seq[Double]): Double =
-    spearmanArrays(x.toArray, y.toArray)
-
-  /** Kendall's tau-b via Knight's O(n log n) algorithm, with tie handling.
+  /** Kendall's tau-b via Knight's O(n log n) algorithm over the rows where
+    * both columns are present.
     *
     * tau-b = (P - Q) / sqrt((n0 - n1)(n0 - n2)) where n0 = n(n-1)/2,
     * n1/n2 are tie-pair counts in x/y, and P - Q = n0 - n1 - n2 + n3 - 2*swaps
-    * (n3 = joint-tie pairs, swaps = merge-sort exchange count of y after
-    * sorting by (x, y)).
+    * (n3 = joint-tie pairs, swaps = inversions of y after sorting by
+    * (x, y)). The rows are sorted as packed (x code, y code) longs; the
+    * inversions of their y codes are counted with a Fenwick tree.
     */
-  def kendallTauB(x: Array[Double], y: Array[Double]): Double = {
-    require(x.length == y.length, "kendall: length mismatch")
-    val n = x.length
-    if (n < 2) return Double.NaN
-    val order = (0 until n).sortBy(i => (x(i), y(i))).toArray
-
-    def tiePairs(sorted: Array[Double]): Long = {
-      var total = 0L; var i = 0
-      while (i < sorted.length) {
-        var j = i
-        while (j + 1 < sorted.length && sorted(j + 1) == sorted(i)) j += 1
-        val t = (j - i + 1).toLong
-        total += t * (t - 1) / 2
-        i = j + 1
-      }
-      total
+  def kendallRanked(x: RankedColumn, y: RankedColumn): Double = {
+    val (nx, ny, m) = jointCounts(x, y)
+    if (m < 2) return Double.NaN
+    val cx = x.codes; val cy = y.codes
+    val keys = new Array[Long](m)
+    var r = 0; var k = 0
+    while (r < cx.length) {
+      if (cx(r) >= 0 && cy(r) >= 0) { keys(k) = (cx(r).toLong << 32) | cy(r); k += 1 }
+      r += 1
     }
+    java.util.Arrays.sort(keys)
 
-    val n0 = n.toLong * (n - 1) / 2
-    val n1 = tiePairs(x.sorted)
-    val n2 = tiePairs(y.sorted)
-    // joint ties: runs of identical (x, y) in the sorted order
+    def tiePairs(counts: Array[Int]): Long =
+      counts.foldLeft(0L)((acc, t) => acc + t.toLong * (t - 1) / 2)
+    val n0 = m.toLong * (m - 1) / 2
+    val n1 = tiePairs(nx)
+    val n2 = tiePairs(ny)
+    // joint ties: runs of equal keys
     var n3 = 0L
     var i = 0
-    while (i < n) {
+    while (i < m) {
       var j = i
-      while (j + 1 < n &&
-             x(order(j + 1)) == x(order(i)) && y(order(j + 1)) == y(order(i))) j += 1
+      while (j + 1 < m && keys(j + 1) == keys(i)) j += 1
       val t = (j - i + 1).toLong
       n3 += t * (t - 1) / 2
       i = j + 1
     }
 
-    // merge sort on y (in x-then-y order), counting exchanges
-    val ys = order.map(y)
-    var swaps = 0L
-    val buf = new Array[Double](n)
-    def merge(lo: Int, mid: Int, hi: Int): Unit = {
-      var a = lo; var b = mid; var k = lo
-      while (a < mid && b < hi) {
-        if (ys(a) <= ys(b)) { buf(k) = ys(a); a += 1 }
-        else { buf(k) = ys(b); b += 1; swaps += (mid - a) }
-        k += 1
-      }
-      while (a < mid) { buf(k) = ys(a); a += 1; k += 1 }
-      while (b < hi)  { buf(k) = ys(b); b += 1; k += 1 }
-      System.arraycopy(buf, lo, ys, lo, hi - lo)
-    }
-    def sort(lo: Int, hi: Int): Unit = {
-      if (hi - lo < 2) return
-      val mid = (lo + hi) >>> 1
-      sort(lo, mid); sort(mid, hi); merge(lo, mid, hi)
-    }
-    sort(0, n)
-
+    val swaps = inversions(keys, y.distinct)
     val pq = n0 - n1 - n2 + n3 - 2 * swaps
     val denom = math.sqrt((n0 - n1).toDouble) * math.sqrt((n0 - n2).toDouble)
     if (denom == 0) Double.NaN else pq / denom
   }
 
-  /** Brute-force tau-b, used only as a property-test reference. */
-  def kendallTauBBrute(x: Array[Double], y: Array[Double]): Double = {
-    val n = x.length
-    if (n < 2) return Double.NaN
-    var p = 0L; var q = 0L; var tx = 0L; var ty = 0L
-    for (i <- 0 until n; j <- i + 1 until n) {
-      val dx = java.lang.Double.compare(x(i), x(j))
-      val dy = java.lang.Double.compare(y(i), y(j))
-      if (dx == 0 && dy == 0) () // joint tie: counts in neither
-      else if (dx == 0) tx += 1
-      else if (dy == 0) ty += 1
-      else if (dx * dy > 0) p += 1
-      else q += 1
+  /** Number of pairs i < j whose y codes (the low 32 bits of the keys)
+    * have y(i) > y(j): each key adds the earlier keys above it, taken from a
+    * Fenwick tree of the y codes seen so far.
+    */
+  private def inversions(keys: Array[Long], distinct: Int): Long = {
+    val tree = new Array[Int](distinct + 1)
+    var swaps = 0L; var i = 0
+    while (i < keys.length) {
+      val code = keys(i).toInt + 1
+      var j = code; var atMost = 0
+      while (j > 0) { atMost += tree(j); j -= j & -j }
+      swaps += i - atMost
+      j = code
+      while (j <= distinct) { tree(j) += 1; j += j & -j }
+      i += 1
     }
-    val denom = math.sqrt((p + q + tx).toDouble) * math.sqrt((p + q + ty).toDouble)
-    if (denom == 0) Double.NaN else (p - q) / denom
+    swaps
   }
+
+  /** Spearman of two arrays; NaN means missing. */
+  def spearmanArrays(x: Array[Double], y: Array[Double]): Double =
+    spearmanRanked(RankedColumn(x), RankedColumn(y))
+
+  /** Kendall's tau-b of two arrays; NaN means missing. */
+  def kendallTauB(x: Array[Double], y: Array[Double]): Double =
+    kendallRanked(RankedColumn(x), RankedColumn(y))
 
   /** Inverse standard-normal CDF (Acklam's rational approximation,
     * |relative error| < 1.15e-9). Used for normal Q-Q plots.

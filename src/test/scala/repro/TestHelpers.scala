@@ -23,6 +23,15 @@ trait TestHelpers { self: SparkSpec =>
     }
   }
 
+  /** `df` with its columns renamed to names that Spark would parse unless
+    * quoted: a dot, a space and a backtick in the first three, then dotted
+    * names (`x.y`, `c d`, "a`b", `n.3`, `n.4`, ...).
+    */
+  def oddlyNamed(df: DataFrame): DataFrame = {
+    val names = Seq("x.y", "c d", "a`b") ++ (3 until df.columns.length).map(i => s"n.$i")
+    df.toDF(names.take(df.columns.length): _*)
+  }
+
   /** Collect one numeric column to doubles, dropping nulls. */
   def collectDoubles(df: DataFrame, c: String): Seq[Double] = {
     import org.apache.spark.sql.functions.col

@@ -38,6 +38,21 @@ class EdaSpec extends SparkSpec with TestHelpers {
     assert(Eda.plotMissing(df, "num_0", "num_1").tabs.map(_.name).contains("CDF"))
   }
 
+  test("every entry point works on dotted, spaced and backticked column names") {
+    val d = oddlyNamed(df) // x.y, c d, a`b numeric; n.3, n.4 categorical
+    assert(d.columns.toSeq == Seq("x.y", "c d", "a`b", "n.3", "n.4"))
+    val reports = Seq(Eda.plot(d), Eda.plot(d, "x.y"), Eda.plot(d, "n.3"),
+      Eda.plot(d, "x.y", "a`b"), Eda.plot(d, "n.3", "c d"), Eda.plot(d, "n.3", "n.4"),
+      Eda.plotCorrelation(d), Eda.plotCorrelation(d, "x.y"), Eda.plotCorrelation(d, "x.y", "c d"),
+      Eda.plotMissing(d), Eda.plotMissing(d, "x.y"), Eda.plotMissing(d, "x.y", "n.3"),
+      Eda.plotMissing(d, "n.3", "a`b"), Eda.createReport(d))
+    reports.foreach(r => assert(r.tabs.nonEmpty, r.title))
+    val ri = Eda.computeReportIntermediates(d, EdaConfig.default)
+    assert(ri.overview.numericStats.map(_.count) ==
+      Eda.computeReportIntermediates(df, EdaConfig.default).overview.numericStats.map(_.count))
+    assert(ri.correlations.columns == Seq("x.y", "c d", "a`b"))
+  }
+
   test("config map customizes a call (Figure 1 flow)") {
     val r = Eda.plot(df, "num_1", Map("hist.bins" -> 20))
     val hist = r.tab("Histogram").components.collectFirst {

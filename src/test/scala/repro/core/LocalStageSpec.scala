@@ -3,6 +3,8 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Intermediates._
 import repro.stats.LocalStats.PairMoments
+import repro.stats.RankReference
+import scala.util.Random
 
 /** Local-stage assembly (the paper's Pandas-computation analog). */
 class LocalStageSpec extends AnyFunSuite {
@@ -32,6 +34,51 @@ class LocalStageSpec extends AnyFunSuite {
     val k = LocalStage.kendallFromMatrix(cols, matrix)(("x", "y"))
     // complete rows: (1,1), (4,4) -> perfectly concordant
     assert(approx(k, 1.0))
+  }
+
+  test("spearmanFromMatrix: pairwise-complete deletion") {
+    val cols = Seq("x", "y")
+    val matrix = Array(
+      Array(1.0, 2.0, Double.NaN, 4.0, 3.0),
+      Array(10.0, Double.NaN, 3.0, 4.0, 20.0))
+    val s = LocalStage.spearmanFromMatrix(cols, matrix)(("x", "y"))
+    // complete rows: (1,10), (4,4), (3,20) -> re-ranked (1,2), (3,1), (2,3)
+    assert(approx(s, -0.5, 1e-12))
+  }
+
+  /** A column of one of the shapes the rank kernels must handle. */
+  private def randomColumn(rnd: Random, rows: Int): Array[Double] = rnd.nextInt(6) match {
+    case 0 => Array.fill(rows)(rnd.nextGaussian())
+    case 1 => Array.fill(rows)((rnd.nextInt(4) - 1).toDouble)                // heavy ties
+    case 2 => Array.fill(rows)(if (rnd.nextInt(3) == 0) Double.NaN else rnd.nextInt(10).toDouble)
+    case 3 => Array.fill(rows)(7.0)                                          // constant
+    case 4 => Array.fill(rows)(Double.NaN)                                   // all missing
+    case _ =>                                                                // at most one value
+      val c = Array.fill(rows)(Double.NaN)
+      if (rows > 0) c(rnd.nextInt(rows)) = rnd.nextDouble()
+      c
+  }
+
+  test("spearman/kendallFromMatrix equal the per-pair sort references bit for bit (property)") {
+    (0 until 200).foreach { seed =>
+      val rnd = new Random(seed)
+      val rows = rnd.nextInt(80)
+      val m = 2 + rnd.nextInt(6)
+      val cols = (0 until m).map(i => s"c$i")
+      val matrix = Array.fill(m)(randomColumn(rnd, rows))
+      for ((name, got, want) <- Seq(
+             ("spearman", LocalStage.spearmanFromMatrix(cols, matrix),
+               RankReference.spearmanFromMatrix(cols, matrix)),
+             ("kendall", LocalStage.kendallFromMatrix(cols, matrix),
+               RankReference.kendallFromMatrix(cols, matrix)))) {
+        assert(got.keySet == want.keySet)
+        want.foreach { case (pair, w) =>
+          val g = got(pair)
+          assert(java.lang.Double.doubleToLongBits(g) == java.lang.Double.doubleToLongBits(w),
+            s"$name$pair seed $seed: $g != $w")
+        }
+      }
+    }
   }
 
   private val stats = NumericStats("v", 100, 0, 90, 50.0, 10.0, 0.0, 100.0,

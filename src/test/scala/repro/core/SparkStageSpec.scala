@@ -225,7 +225,7 @@ class SparkStageSpec extends SparkSpec with TestHelpers {
     val m = SparkStage.pairwiseMoments(d2, Seq(("x", "y")))(("x", "y"))
     assert(m.n == 3) // rows where both present
     assertApprox(m.pearson,
-      LocalStats.pearson(Seq(1.0, 4.0, 5.0), Seq(1.0, 4.0, 6.0)), 1e-9, "pairwise pearson")
+      LocalStats.pearsonArrays(Array(1.0, 4.0, 5.0), Array(1.0, 4.0, 6.0)), 1e-9, "pairwise pearson")
   }
 
   test("pairwiseMoments: many pairs in one action") {

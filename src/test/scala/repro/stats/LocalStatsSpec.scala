@@ -34,51 +34,58 @@ class LocalStatsSpec extends AnyFunSuite {
   test("skewness of constant data is NaN") { assert(skewness(Seq(2, 2, 2)).isNaN) }
 
   test("pearson of perfectly linear data is 1") {
-    assert(approx(pearson(Seq(1, 2, 3), Seq(2, 4, 6)), 1.0))
+    assert(approx(pearsonArrays(Array(1, 2, 3), Array(2, 4, 6)), 1.0))
   }
   test("pearson of anti-linear data is -1") {
-    assert(approx(pearson(Seq(1, 2, 3), Seq(6, 4, 2)), -1.0))
+    assert(approx(pearsonArrays(Array(1, 2, 3), Array(6, 4, 2)), -1.0))
   }
   test("pearson of known data") {
     // x=(1,2,3,4,5), y=(2,1,4,3,5): r = 0.8
-    assert(approx(pearson(Seq(1.0, 2, 3, 4, 5), Seq(2.0, 1, 4, 3, 5)), 0.8))
+    assert(approx(pearsonArrays(Array(1.0, 2, 3, 4, 5), Array(2.0, 1, 4, 3, 5)), 0.8))
   }
   test("pearson with zero variance is NaN") {
-    assert(pearson(Seq(1, 1, 1), Seq(1, 2, 3)).isNaN)
+    assert(pearsonArrays(Array(1, 1, 1), Array(1, 2, 3)).isNaN)
   }
   test("pearson is bounded in [-1, 1] (property)") {
     property(30) { rnd =>
       val n = 2 + rnd.nextInt(50)
-      val x = Seq.fill(n)(rnd.nextDouble() * 100 - 50)
-      val y = Seq.fill(n)(rnd.nextDouble() * 100 - 50)
-      val r = pearson(x, y)
+      val x = Array.fill(n)(rnd.nextDouble() * 100 - 50)
+      val y = Array.fill(n)(rnd.nextDouble() * 100 - 50)
+      val r = pearsonArrays(x, y)
       assert(r.isNaN || (r >= -1.0 - 1e-12 && r <= 1.0 + 1e-12))
     }
   }
 
-  test("averageRanks without ties") {
-    assert(averageRanks(Seq(30.0, 10.0, 20.0)).toSeq == Seq(3.0, 1.0, 2.0))
-  }
-  test("averageRanks shares tie ranks") {
-    assert(averageRanks(Seq(1.0, 2.0, 2.0, 3.0)).toSeq == Seq(1.0, 2.5, 2.5, 4.0))
-  }
-  test("averageRanks all equal") {
-    assert(averageRanks(Seq(5.0, 5.0, 5.0)).toSeq == Seq(2.0, 2.0, 2.0))
-  }
-  test("averageRanks sums to n(n+1)/2 (property)") {
-    property(30) { rnd =>
-      val n = 1 + rnd.nextInt(40)
-      val xs = Seq.fill(n)(rnd.nextInt(10).toDouble)
-      assert(approx(averageRanks(xs).sum, n * (n + 1) / 2.0))
-    }
+  test("RankedColumn codes index the sorted distinct values; NaN is -1, -0.0 is 0.0") {
+    val r = RankedColumn(Array(30.0, Double.NaN, -0.0, 10.0, 0.0, 30.0))
+    assert(r.codes.toSeq == Seq(2, -1, 0, 1, 0, 2))
+    assert(r.distinct == 3)
+    assert(RankedColumn(Array(Double.NaN, Double.NaN)).distinct == 0)
   }
 
   test("spearman of monotone transform is 1") {
-    val x = Seq(1.0, 2, 3, 4, 5)
-    assert(approx(spearman(x, x.map(v => v * v * v)), 1.0))
+    val x = Array(1.0, 2, 3, 4, 5)
+    assert(approx(spearmanArrays(x, x.map(v => v * v * v)), 1.0))
   }
   test("spearman of reversed order is -1") {
-    assert(approx(spearman(Seq(1.0, 2, 3, 4), Seq(9.0, 7, 4, 1)), -1.0))
+    assert(approx(spearmanArrays(Array(1.0, 2, 3, 4), Array(9.0, 7, 4, 1)), -1.0))
+  }
+  test("spearman and kendall treat NaN as missing (pairwise deletion)") {
+    val x = Array(1.0, Double.NaN, 3.0, 2.0, 5.0, 4.0)
+    val y = Array(2.0, 7.0, 1.0, Double.NaN, 4.0, 3.0)
+    val (xs, ys) = (Array(1.0, 3.0, 5.0, 4.0), Array(2.0, 1.0, 4.0, 3.0))
+    assert(spearmanArrays(x, y) == spearmanArrays(xs, ys))
+    assert(kendallTauB(x, y) == kendallTauB(xs, ys))
+    assert(spearmanArrays(Array(1.0, Double.NaN), Array(Double.NaN, 2.0)).isNaN)
+  }
+  test("spearman and kendall treat -0.0 and 0.0 as a tie") {
+    val x = Array(-0.0, 0.0, 1.0); val y = Array(2.0, 1.0, 3.0)
+    val k = kendallTauB(x, y)
+    // P=2, Q=0, one x tie -> 2/sqrt(3*2)
+    assert(approx(k, 2 / math.sqrt(6.0), 1e-12), s"kendall = $k")
+    assert(k == kendallTauB(Array(0.0, 0.0, 1.0), y))
+    assert(approx(k, RankReference.kendallTauBBrute(x, y), 1e-12))
+    assert(spearmanArrays(x, y) == spearmanArrays(Array(0.0, 0.0, 1.0), y))
   }
 
   test("kendall tau of identical order is 1") {
@@ -107,7 +114,7 @@ class LocalStatsSpec extends AnyFunSuite {
       val xs = Array.fill(n)((rnd.nextInt(11) - 5).toDouble)
       val ys = Array.fill(n)((rnd.nextInt(11) - 5).toDouble)
       val fast = kendallTauB(xs, ys)
-      val brute = kendallTauBBrute(xs, ys)
+      val brute = RankReference.kendallTauBBrute(xs, ys)
       assert(approx(fast, brute, 1e-12), s"fast=$fast brute=$brute xs=${xs.toSeq} ys=${ys.toSeq}")
     }
   }
@@ -124,7 +131,7 @@ class LocalStatsSpec extends AnyFunSuite {
       val n = 2 + rnd.nextInt(80)
       val xs = Array.fill(n)(rnd.nextDouble() * 10)
       val ys = Array.fill(n)(rnd.nextDouble() * 10)
-      assert(approx(kendallTauB(xs, ys), kendallTauBBrute(xs, ys), 1e-12))
+      assert(approx(kendallTauB(xs, ys), RankReference.kendallTauBBrute(xs, ys), 1e-12))
     }
   }
 
@@ -180,10 +187,10 @@ class LocalStatsSpec extends AnyFunSuite {
   }
 
   test("PairMoments pearson matches direct pearson") {
-    val x = Seq(1.0, 2, 3, 4, 5); val y = Seq(2.0, 1, 4, 3, 5)
+    val x = Array(1.0, 2, 3, 4, 5); val y = Array(2.0, 1, 4, 3, 5)
     val m = PairMoments(5, x.sum, y.sum, x.map(a => a * a).sum,
       y.map(a => a * a).sum, x.zip(y).map { case (a, b) => a * b }.sum)
-    assert(approx(m.pearson, pearson(x, y)))
+    assert(approx(m.pearson, pearsonArrays(x, y)))
   }
   test("PairMoments regression recovers a known line") {
     val x = Seq(0.0, 1, 2, 3); val y = x.map(v => 2 * v + 1)
